@@ -105,12 +105,9 @@ int main(int argc, char** argv) {
 
   // Warm up, then measure: the blocking no-deadline single-thread run is
   // both the bitwise reference and the per-query cost calibration.
-  BatchConfig blocking;
-  blocking.num_threads = 1;
-  BatchOptimizer(blocking, make_rmq)
-      .Run(GenerateBatch(2, generator, seed ^ 0xabcdef, 0));
+  RunBlocking(GenerateBatch(2, generator, seed ^ 0xabcdef, 0), make_rmq);
   Stopwatch calib_watch;
-  BatchReport reference = BatchOptimizer(blocking, make_rmq).Run(tasks);
+  BatchReport reference = RunBlocking(tasks, make_rmq);
   const double per_query_ms =
       calib_watch.ElapsedMillis() / static_cast<double>(loose + tight);
 

@@ -1,27 +1,27 @@
-// Cooperative multiplexing throughput: M iteration-bounded queries served
-// as interleaved optimizer sessions on N worker threads, M >> N.
+// Multiplexing throughput: M iteration-bounded queries served as
+// interleaved optimizer sessions on N worker threads, M >> N.
 //
-// The batch service runs each query to completion on one worker, so a
-// query admitted behind the batch waits for a free slot before making any
-// progress. The cooperative scheduler steps all M sessions round-robin at
-// slice granularity: every query starts optimizing almost immediately and
+// Run to completion one after another, a query admitted behind the batch
+// waits for every query ahead of it before making any progress.
+// OnlineScheduler instead steps all M sessions round-robin at slice
+// granularity: every query starts optimizing almost immediately and
 // per-query completion latency is bounded by total_work / threads instead
 // of queue position. Because each task's step sequence depends only on its
-// own seed, the per-task frontiers must stay bitwise identical to a
-// single-thread blocking reference run — the session-API determinism
-// contract, verified end to end here.
+// own seed, the per-task frontiers must stay bitwise identical to the
+// blocking reference (RunBlocking) — the session-API determinism contract,
+// verified end to end here.
 //
 //   $ ./bench/multiplex_throughput [--queries=64] [--tables=8]
 //         [--iterations=40] [--threads=8] [--steps-per-slice=1]
 //         [--seed=2016] [--min-speedup=0] [--json=out.json]
 //
-// Prints the blocking single-thread reference, the single-thread
-// cooperative run, and the multi-thread cooperative run, with per-query
-// completion-latency percentiles (measured from admission), then a
-// PASS/FAIL verdict on bitwise-identical frontiers everywhere. The work
-// here is compute-bound, so wall-clock speedup tracks the physical cores
-// available; pass --min-speedup to additionally gate the verdict on it
-// when the host has the cores (e.g. --min-speedup=3 on 8 cores).
+// Prints the blocking reference, a closed batch on one scheduler thread,
+// and a closed batch on N threads, with per-query completion-latency
+// percentiles (measured from admission), then a PASS/FAIL verdict on
+// bitwise-identical frontiers everywhere. The work here is compute-bound,
+// so wall-clock speedup tracks the physical cores available; pass
+// --min-speedup to additionally gate the verdict on it when the host has
+// the cores (e.g. --min-speedup=3 on 8 cores).
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -32,7 +32,7 @@
 #include "common/flags.h"
 #include "core/rmq.h"
 #include "service/batch_optimizer.h"
-#include "service/cooperative_scheduler.h"
+#include "service/online_scheduler.h"
 
 using namespace moqo;
 
@@ -100,36 +100,38 @@ int main(int argc, char** argv) {
               "wall_ms", "speedup", "identical", "lat_p50_ms", "lat_p95_ms",
               "lat_max_ms");
 
-  // Blocking single-thread reference: the ground truth for both frontier
-  // bits and wall clock.
-  BatchConfig blocking;
-  blocking.num_threads = 1;
-  BatchReport reference = BatchOptimizer(blocking, make_rmq).Run(tasks);
+  // Blocking reference: the ground truth for both frontier bits and wall
+  // clock.
+  BatchReport reference = RunBlocking(tasks, make_rmq);
   PrintRow("blocking reference", reference,
            CompareToReference(reference, reference));
 
-  // Cooperative on one thread: pure multiplexing overhead, same bits.
-  CooperativeConfig single;
-  single.num_threads = 1;
-  single.steps_per_slice = steps_per_slice;
-  BatchReport coop_single =
-      CooperativeScheduler(single, make_rmq).Run(tasks);
-  BatchComparison cmp_single = CompareToReference(reference, coop_single);
-  PrintRow("cooperative", coop_single, cmp_single);
+  // A closed batch on `n` scheduler threads: admit every task up front,
+  // then Stop() starts the workers and runs the backlog dry.
+  const auto run_closed_batch = [&](int n) {
+    OnlineConfig config;
+    config.num_threads = n;
+    config.steps_per_slice = steps_per_slice;
+    OnlineScheduler service(config, make_rmq);
+    for (const BatchTask& task : tasks) service.Submit(task);
+    return service.Stop();
+  };
 
-  // Cooperative on N threads: M sessions multiplexed over the pool.
-  CooperativeConfig multi;
-  multi.num_threads = threads;
-  multi.steps_per_slice = steps_per_slice;
-  BatchReport coop_multi = CooperativeScheduler(multi, make_rmq).Run(tasks);
+  // One scheduler thread: pure multiplexing overhead, same bits.
+  BatchReport coop_single = run_closed_batch(1);
+  BatchComparison cmp_single = CompareToReference(reference, coop_single);
+  PrintRow("multiplexed", coop_single, cmp_single);
+
+  // N scheduler threads: M sessions multiplexed over the pool.
+  BatchReport coop_multi = run_closed_batch(threads);
   BatchComparison cmp_multi = CompareToReference(reference, coop_multi);
-  PrintRow("cooperative", coop_multi, cmp_multi);
+  PrintRow("multiplexed", coop_multi, cmp_multi);
 
   const bool identical = cmp_single.identical && cmp_multi.identical;
   const bool pass = identical && cmp_multi.speedup >= min_speedup;
   std::printf(
       "\n%s: %.2fx speedup at %d threads, frontiers %s vs blocking "
-      "single-thread reference\n",
+      "reference\n",
       pass ? "PASS" : "FAIL", cmp_multi.speedup, threads,
       identical ? "bitwise identical" : "DIVERGED");
 

@@ -140,12 +140,9 @@ int main(int argc, char** argv) {
   }
 
   // Warm up, then calibrate per-query cost for the arrival pacing.
-  BatchConfig blocking;
-  blocking.num_threads = 1;
-  BatchOptimizer(blocking, make_rmq)
-      .Run(GenerateBatch(2, generator, seed ^ 0xabcdef, 0));
+  RunBlocking(GenerateBatch(2, generator, seed ^ 0xabcdef, 0), make_rmq);
   Stopwatch calib_watch;
-  BatchOptimizer(blocking, make_rmq).Run(pool);
+  RunBlocking(pool, make_rmq);
   const double per_query_ms =
       calib_watch.ElapsedMillis() / static_cast<double>(shapes);
   const double mean_gap_ms =

@@ -14,13 +14,13 @@ namespace {
 // single non-dominated plan per node; keeping wide non-dominated sets per
 // node instead makes the recombination cost explode (at width 8 the fast
 // climber loses its entire advantage over the naive one). Width 2 per
-// output format restores the paper's reported economics — >=10x faster
-// climbs than naive at 50 tables, and ~10x more RMQ iterations per second
-// — at the price that a climbing fixed point is no longer guaranteed to
-// be a local optimum of the complete neighborhood (RMQ's frontier
-// approximation recovers the lost operator variety along the chosen join
-// order, which is why end-to-end quality *improves* with the narrower
-// width; see bench/ablation_climb and EXPERIMENTS.md).
+// output format keeps climbs about 9.5x faster than naive at 50 tables
+// (perfbench's climb.naive_ratio metric on anytime_large), at the price
+// that a climbing fixed point is no longer guaranteed to be a local
+// optimum of the complete neighborhood (RMQ's frontier approximation
+// recovers the lost operator variety along the chosen join order, which is
+// why end-to-end quality *improves* with the narrower width; see
+// bench/ablation_climb).
 constexpr int kMaxPerFormat = 2;
 
 // Step-local frontier in struct-of-arrays form: plan handles plus inline

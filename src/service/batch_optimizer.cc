@@ -1,16 +1,13 @@
 #include "service/batch_optimizer.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/deadline.h"
 #include "pareto/epsilon_indicator.h"
 #include "plan/plan_factory.h"
-#include "service/thread_pool.h"
 
 namespace moqo {
 
@@ -45,68 +42,47 @@ std::vector<CostVector> CanonicalFrontier(const std::vector<PlanPtr>& plans) {
   return frontier;
 }
 
-BatchOptimizer::BatchOptimizer(BatchConfig config,
-                               OptimizerFactory make_optimizer)
-    : config_(std::move(config)), make_optimizer_(std::move(make_optimizer)) {}
-
-BatchTaskResult BatchOptimizer::RunOne(int index, const BatchTask& task,
-                                       const CostModel& model) const {
-  BatchTaskResult result;
-  result.index = index;
-  result.had_deadline = task.deadline_micros > 0;
-
-  Stopwatch watch;
-  Rng rng(task.seed);
-  PlanFactory factory(task.query, &model);
-  std::unique_ptr<Optimizer> optimizer = make_optimizer_();
-  Deadline deadline = result.had_deadline
-                          ? Deadline::AfterMicros(task.deadline_micros)
-                          : Deadline();
-  // Drive a session directly (instead of the blocking Optimize() wrapper)
-  // so the report can record executed steps and the deadline-hit verdict.
-  std::unique_ptr<OptimizerSession> session = optimizer->NewSession();
-  session->Begin(&factory, &rng);
-  std::vector<PlanPtr> plans = RunSession(session.get(), deadline, nullptr);
-  // Sample expiry before post-processing: sorting the frontier must not
-  // turn a completion just inside the window into a recorded miss.
-  const bool expired = deadline.Expired();
-  result.optimize_millis = watch.ElapsedMillis();
-  result.frontier = CanonicalFrontier(plans);
-  result.steps = session->session_stats().steps;
-  result.gave_up = session->GaveUp();
-  // A gave-up session (DP abandoning the run) is Done with nothing to
-  // show; completing the window with no result is not a hit.
-  result.deadline_hit = result.had_deadline && session->Done() &&
-                        !result.gave_up && !expired;
-
-  if (config_.hold_full_window && result.had_deadline) {
-    int64_t remaining = deadline.RemainingMicros();
-    if (remaining > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(remaining));
-    }
-  }
-  result.elapsed_millis = watch.ElapsedMillis();
-  return result;
+std::vector<Metric> DefaultServiceMetrics() {
+  return {Metric::kTime, Metric::kBuffer};
 }
 
-BatchReport BatchOptimizer::Run(const std::vector<BatchTask>& tasks) {
-  BatchReport report;
-  report.num_threads = std::max(1, config_.num_threads);
-  report.tasks.resize(tasks.size());
-  if (tasks.empty()) return report;
+void RecordOutcome(const OptimizerSession& session,
+                   const std::vector<PlanPtr>& plans, bool expired,
+                   BatchTaskResult* result) {
+  result->frontier = CanonicalFrontier(plans);
+  result->steps = session.session_stats().steps;
+  result->gave_up = session.GaveUp();
+  // A gave-up session (e.g. DP abandoning an oversized query) is Done with
+  // nothing to show; completing the window with no result is not a hit.
+  result->deadline_hit = result->had_deadline && session.Done() &&
+                         !result->gave_up && !expired;
+}
 
+BatchReport RunBlocking(const std::vector<BatchTask>& tasks,
+                        const OptimizerFactory& make_optimizer) {
+  BatchReport report;
+  report.num_threads = 1;
+  report.tasks.reserve(tasks.size());
   Stopwatch wall;
-  CostModel model(config_.metrics);
-  {
-    ThreadPool pool(report.num_threads);
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      BatchTaskResult* slot = &report.tasks[i];
-      const BatchTask* task = &tasks[i];
-      pool.Submit([this, i, slot, task, &model] {
-        *slot = RunOne(static_cast<int>(i), *task, model);
-      });
-    }
-    pool.Wait();
+  CostModel model(DefaultServiceMetrics());
+  for (const BatchTask& task : tasks) {
+    BatchTaskResult result;
+    result.index = static_cast<int>(report.tasks.size());
+    result.had_deadline = task.deadline_micros > 0;
+    Stopwatch watch;
+    Rng rng(task.seed);
+    PlanFactory factory(task.query, &model);
+    Deadline deadline = result.had_deadline
+                            ? Deadline::AfterMicros(task.deadline_micros)
+                            : Deadline();
+    std::unique_ptr<OptimizerSession> session = make_optimizer()->NewSession();
+    session->Begin(&factory, &rng);
+    std::vector<PlanPtr> plans = RunSession(session.get(), deadline);
+    const bool expired = deadline.Expired();
+    result.optimize_millis = watch.ElapsedMillis();
+    RecordOutcome(*session, plans, expired, &result);
+    result.elapsed_millis = watch.ElapsedMillis();
+    report.tasks.push_back(std::move(result));
   }
   report.wall_millis = wall.ElapsedMillis();
   report.Aggregate();

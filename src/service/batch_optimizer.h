@@ -1,22 +1,21 @@
-// Batch optimization service: runs an anytime optimizer over many queries
-// concurrently on a fixed-size thread pool, one task per worker until it
-// completes. For M-queries-over-N-threads multiplexing at step
-// granularity, see service/cooperative_scheduler.h.
+// Batch vocabulary of the optimization service: the task and result
+// records, the aggregated report, and the blocking reference run.
+// OnlineScheduler (service/online_scheduler.h) is the scheduler that
+// serves tasks; RunBlocking() below is the plain sequential loop whose
+// frontiers every scheduler, shard layout and transport is checked against.
 //
 // Determinism contract: every task owns an independent Rng seeded from
 // (master seed, task index), its own PlanFactory, and its own
 // OptimizerSession, so a task's result frontier depends only on its seed
 // and configuration — never on the number of worker threads or on how the
-// scheduler interleaves tasks. Running the same batch with 1 or 8 threads
-// yields bitwise-identical per-task frontiers as long as tasks are
-// iteration-bounded (wall-clock deadlines are inherently load-dependent).
+// scheduler interleaves tasks. Iteration-bounded tasks therefore yield
+// bitwise-identical per-task frontiers under RunBlocking() and under any
+// scheduler configuration (wall-clock deadlines are inherently
+// load-dependent).
 //
 // Deadline contract: a task with a deadline never runs its optimizer past
-// it. With `hold_full_window` set, the task additionally occupies its worker
-// slot until the deadline expires, modelling a latency-bound service where
-// every query is granted its full optimization window (the anytime setting
-// of the paper: the budget is wall-clock time, not iterations). Batch
-// wall-clock then measures how well windows overlap across threads.
+// it, and its result records whether the session completed its configured
+// work inside the window (BatchTaskResult::deadline_hit).
 #ifndef MOQO_SERVICE_BATCH_OPTIMIZER_H_
 #define MOQO_SERVICE_BATCH_OPTIMIZER_H_
 
@@ -56,16 +55,10 @@ struct BatchTask {
   uint64_t fingerprint = 0;
 };
 
-/// Service configuration for one BatchOptimizer instance.
-struct BatchConfig {
-  /// Worker threads in the pool.
-  int num_threads = 1;
-  /// Cost metrics every task is optimized under.
-  std::vector<Metric> metrics = {Metric::kTime, Metric::kBuffer};
-  /// If true, a task holds its worker slot until its deadline even when the
-  /// optimizer finishes early (latency-bound service mode; see file header).
-  bool hold_full_window = false;
-};
+/// Cost metrics every task is optimized under unless a scheduler is
+/// configured otherwise (OnlineConfig::metrics); RunBlocking() always uses
+/// them.
+std::vector<Metric> DefaultServiceMetrics();
 
 /// Per-task outcome.
 struct BatchTaskResult {
@@ -73,17 +66,15 @@ struct BatchTaskResult {
   /// Result frontier in canonical (lexicographic) order, so two results can
   /// be compared bitwise.
   std::vector<CostVector> frontier;
-  /// Time the task's optimizer actually ran, in milliseconds. For
-  /// cooperative runs this sums the task's slices, excluding time spent
-  /// waiting for its next turn.
+  /// Time the task's optimizer actually ran, in milliseconds. On a
+  /// scheduler this sums the task's slices, excluding time spent waiting
+  /// for its next turn.
   double optimize_millis = 0.0;
   /// Completion latency since admission (>= optimize_millis when the task
-  /// held its slot past the optimizer under hold_full_window, or waited
-  /// between cooperative slices).
+  /// waited between slices).
   double elapsed_millis = 0.0;
-  /// Milliseconds since scheduler start when the task was admitted. Always
-  /// ~0 for closed-batch runs, where every task is admitted up front; an
-  /// online scheduler stamps the actual Submit() time.
+  /// Milliseconds since scheduler start when the task was admitted (its
+  /// Submit() time); 0 under RunBlocking().
   double admit_millis = 0.0;
   /// Session steps executed since Begin().
   int64_t steps = 0;
@@ -140,8 +131,7 @@ struct BatchReport {
   size_t cache_served_tasks = 0;
 
   /// Recomputes the aggregate fields (frontier totals, percentiles) from
-  /// `tasks`. Run() calls this; schedulers producing their own reports can
-  /// reuse it.
+  /// `tasks`. Every producer of a report calls this last.
   void Aggregate();
 
   /// Human-readable multi-line summary.
@@ -171,30 +161,22 @@ struct BatchComparison {
   double mean_alpha = 1.0;
 };
 
-/// Runs batches of optimization tasks over a thread pool.
-///
-/// Deliberately free of mutexes and thread-safety annotations: the object
-/// itself is immutable after construction, per-task state is confined to
-/// the worker running it, and result slots are pre-sized so workers write
-/// disjoint indices. The only synchronization is inside ThreadPool.
-class BatchOptimizer {
- public:
-  BatchOptimizer(BatchConfig config, OptimizerFactory make_optimizer);
+/// The blocking reference: runs every task to completion on the calling
+/// thread, one after another, by driving a session with RunSession() under
+/// DefaultServiceMetrics(). Each task's deadline starts when that task
+/// starts. Task i of the returned report corresponds to tasks[i].
+BatchReport RunBlocking(const std::vector<BatchTask>& tasks,
+                        const OptimizerFactory& make_optimizer);
 
-  /// Runs all tasks to completion and aggregates the results. Task i of the
-  /// returned report corresponds to tasks[i]. An empty batch returns an
-  /// empty report immediately.
-  BatchReport Run(const std::vector<BatchTask>& tasks);
-
-  const BatchConfig& config() const { return config_; }
-
- private:
-  BatchTaskResult RunOne(int index, const BatchTask& task,
-                         const CostModel& model) const;
-
-  BatchConfig config_;
-  OptimizerFactory make_optimizer_;
-};
+/// Records how a finished session ended into `result`: the canonical form
+/// of `plans` (the session's final Frontier()), the executed steps,
+/// gave_up, and deadline_hit. `result->had_deadline` must already be set,
+/// and `expired` is the deadline sampled right after the last step — not
+/// later, so that post-processing cannot turn a completion just inside
+/// the window into a miss. Shared by RunBlocking() and OnlineScheduler.
+void RecordOutcome(const OptimizerSession& session,
+                   const std::vector<PlanPtr>& plans, bool expired,
+                   BatchTaskResult* result);
 
 /// Generates `n` batch tasks with queries drawn from `base` and per-task
 /// seeds fanned out from `master_seed`; all tasks share `deadline_micros`.

@@ -459,18 +459,13 @@ void OnlineScheduler::WorkerLoop() {
       const bool expired = q->deadline.Expired();
       finished = q->session->Done() || expired;
       if (finished) {
+        std::vector<PlanPtr> plans = q->session->Frontier();
         result.index = q->index;
-        result.frontier = CanonicalFrontier(q->session->Frontier());
+        result.had_deadline = q->had_deadline;
+        RecordOutcome(*q->session, plans, expired, &result);
         result.optimize_millis = q->optimize_millis;
         result.admit_millis = static_cast<double>(q->admit_micros) / 1000.0;
         result.elapsed_millis = epoch_.ElapsedMillis() - result.admit_millis;
-        result.steps = q->session->session_stats().steps;
-        result.had_deadline = q->had_deadline;
-        result.gave_up = q->session->GaveUp();
-        // A gave-up session (e.g. DP on an oversized query) is Done with
-        // an empty frontier; being inside the window is not a hit.
-        result.deadline_hit = q->had_deadline && q->session->Done() &&
-                              !result.gave_up && !expired;
         if (config_.frontier_cache != nullptr && q->session->Done() &&
             !result.gave_up && !result.frontier.empty()) {
           // Cache only completed runs: a deadline-expired partial frontier
@@ -483,7 +478,7 @@ void OnlineScheduler::WorkerLoop() {
           // Cache-internal bytes: decoded only by this process's own
           // ReadPlans, never persisted or shipped across a build boundary.
           CheckpointWriter plan_writer;  // moqo-lint: allow(checkpoint-magic)
-          plan_writer.WritePlans(q->session->Frontier());
+          plan_writer.WritePlans(plans);
           entry.plan_bytes = plan_writer.Take();
           entry.frontier = result.frontier;
           entry.steps = result.steps;

@@ -1,11 +1,8 @@
 // Online optimization service: queries are admitted while the workers are
 // already spinning, and a pluggable scheduling policy decides which open
-// session gets the next slice.
-//
-// This generalizes the closed-batch cooperative scheduler
-// (cooperative_scheduler.h, which is now a thin wrapper around this class):
-// instead of one Run(tasks) call over a batch known up front, the service
-// has a lifecycle —
+// session gets the next slice. It is the service's only scheduler; the
+// blocking reference it is checked against is RunBlocking()
+// (batch_optimizer.h). Lifecycle:
 //
 //   OnlineScheduler service(config, factory);
 //   service.Start();                       // spin up the workers
@@ -13,6 +10,10 @@
 //   ticket->get();                         // per-task future
 //   service.Drain();                       // wait for all admitted tasks
 //   BatchReport report = service.Stop();   // join workers, final report
+//
+// A closed batch is the same calls without Start(): Submit() every task,
+// then Stop() starts the workers, drains the backlog and returns the
+// report in submission order.
 //
 // Admission: Submit() may be called from any thread, before or after
 // Start() (pre-Start submissions build a backlog that the workers drain
@@ -24,20 +25,20 @@
 // deadline exactly like in a real service.
 //
 // Scheduling: ready sessions live in a priority queue keyed per
-// SchedulingPolicy. kFifo reproduces the round-robin of the closed-batch
-// scheduler (requeued slices go to the back). kEarliestDeadlineFirst keys
-// by the admission-relative absolute deadline, so a tight-deadline query
-// admitted behind loose ones overtakes them at slice granularity.
-// kSlackWeighted divides the remaining deadline slack by the progress the
-// session has already made, preferring urgent tasks that are still behind.
+// SchedulingPolicy. kFifo is round-robin (requeued slices go to the back).
+// kEarliestDeadlineFirst keys by the admission-relative absolute deadline,
+// so a tight-deadline query admitted behind loose ones overtakes them at
+// slice granularity. kSlackWeighted divides the remaining deadline slack
+// by the progress the session has already made, preferring urgent tasks
+// that are still behind.
 //
-// Determinism contract (unchanged from the batch service): every task owns
-// an independent Rng seeded from (master seed, submission index), its own
+// Determinism contract (see batch_optimizer.h): every task owns an
+// independent Rng seeded from (master seed, submission index), its own
 // PlanFactory, and its own session. Thread count and scheduling policy
 // affect only *timing* — which tasks finish inside their deadlines — never
 // the step sequence of an individual session, so iteration-bounded tasks
-// produce frontiers bitwise identical to a single-thread blocking
-// reference under every policy and thread count.
+// produce frontiers bitwise identical to RunBlocking() under every policy
+// and thread count.
 #ifndef MOQO_SERVICE_ONLINE_SCHEDULER_H_
 #define MOQO_SERVICE_ONLINE_SCHEDULER_H_
 
@@ -180,7 +181,7 @@ struct OnlineConfig {
   /// Worker threads serving all open sessions.
   int num_threads = 1;
   /// Cost metrics every task is optimized under.
-  std::vector<Metric> metrics = {Metric::kTime, Metric::kBuffer};
+  std::vector<Metric> metrics = DefaultServiceMetrics();
   /// Session steps per scheduling slice (clamped to >= 1). Larger slices
   /// amortize scheduling overhead; smaller slices tighten the interleaving
   /// and let a deadline-aware policy preempt sooner.

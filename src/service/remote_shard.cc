@@ -247,27 +247,46 @@ bool RemoteShard::SendRequest(uint8_t type, uint64_t request_id,
 
 bool RemoteShard::SubmitFrame(std::vector<uint8_t> frame,
                               std::promise<BatchTaskResult>* promise) {
+  std::vector<uint8_t> body = frame;
   uint64_t request_id;
+  size_t index;
   {
+    // Register before sending: the receiver drops replies to unknown
+    // request ids, and a fast reply (a frontier-cache exact hit) can
+    // arrive before SendRequest() even returns.
     MutexLock lock(mu_);
     if (dead_ || stopping_) return false;
     request_id = next_request_id_++;
+    index = pending_.size();
+    Pending entry;
+    entry.request_id = request_id;
+    entry.promise = std::move(*promise);
+    entry.frame = std::move(frame);
+    index_by_request_[request_id] = index;
+    pending_.push_back(std::move(entry));
+    ++open_;
   }
-  // The promise is moved from only after the frame is on the wire, so a
-  // refused send leaves the caller's task (and its reply channel) intact.
-  if (!SendRequest(static_cast<uint8_t>(MsgType::kSubmit), request_id,
-                   frame)) {
-    return false;
+  if (SendRequest(static_cast<uint8_t>(MsgType::kSubmit), request_id,
+                  std::move(body))) {
+    return true;
   }
   MutexLock lock(mu_);
-  Pending entry;
-  entry.request_id = request_id;
-  entry.promise = std::move(*promise);
-  entry.frame = std::move(frame);
-  index_by_request_[request_id] = pending_.size();
-  pending_.push_back(std::move(entry));
-  ++open_;
-  return true;
+  Pending& entry = pending_[index];
+  // A reply or an orphan hand-off that got here first already owns the
+  // promise, and the task will be delivered through it.
+  if (entry.done || entry.migrated) return true;
+  // A refused send leaves the caller's task (and its reply channel)
+  // intact: hand the promise back and retire the entry.
+  *promise = std::move(entry.promise);
+  index_by_request_.erase(request_id);
+  --open_;
+  if (index + 1 == pending_.size()) {
+    pending_.pop_back();
+  } else {
+    entry.migrated = true;
+  }
+  cv_.NotifyAll();
+  return false;
 }
 
 std::optional<std::future<BatchTaskResult>> RemoteShard::Submit(
@@ -290,7 +309,7 @@ bool RemoteShard::Resume(SuspendedTask& task) {
     if (!started_ || dead_ || stopping_) return false;
   }
   std::vector<uint8_t> frame = EncodeWireTask(MakeWireTask(task));
-  // SubmitFrame moves the promise only once the frame is sent, so a
+  // SubmitFrame hands the promise back if the send is refused, so a
   // refusal leaves `task` fully intact for a retry elsewhere.
   if (!SubmitFrame(std::move(frame), &task.promise)) return false;
   task.MarkConsumed();

@@ -127,8 +127,8 @@ class RemoteShard : public Shard {
   /// and a blocked send must not stall the receiver.
   bool SendRequest(uint8_t type, uint64_t request_id,
                    std::vector<uint8_t> body) EXCLUDES(mu_, send_mu_);
-  /// Common Submit()/Resume() path: ship a task frame, register pending.
-  /// `*promise` is moved from only on success.
+  /// Common Submit()/Resume() path: register a pending entry, then ship
+  /// the task frame. On a refused send `*promise` is handed back intact.
   bool SubmitFrame(std::vector<uint8_t> frame,
                    std::promise<BatchTaskResult>* promise)
       EXCLUDES(mu_, send_mu_);

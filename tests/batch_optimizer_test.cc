@@ -2,14 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "baselines/dp.h"
 #include "core/rmq.h"
-#include "service/cooperative_scheduler.h"
-#include "service/thread_pool.h"
 
 namespace moqo {
 namespace {
@@ -29,26 +26,6 @@ std::vector<BatchTask> SmallBatch(int n, int tables,
   return GenerateBatch(n, generator, /*master_seed=*/2016, deadline_micros);
 }
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  std::atomic<int> count{0};
-  ThreadPool pool(4);
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { ++count; });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitCanBeCalledRepeatedly) {
-  ThreadPool pool(2);
-  pool.Wait();  // empty pool: returns immediately
-  std::atomic<int> count{0};
-  pool.Submit([&count] { ++count; });
-  pool.Wait();
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-}
-
 TEST(GenerateBatchTest, IsDeterministicAndFansOutSeeds) {
   std::vector<BatchTask> a = SmallBatch(5, 6);
   std::vector<BatchTask> b = SmallBatch(5, 6);
@@ -63,86 +40,40 @@ TEST(GenerateBatchTest, IsDeterministicAndFansOutSeeds) {
 }
 
 TEST(BatchOptimizerTest, EmptyBatchReturnsEmptyReport) {
-  BatchConfig config;
-  config.num_threads = 4;
-  BatchOptimizer batch(config, RmqFactory(10));
-  BatchReport report = batch.Run({});
+  BatchReport report = RunBlocking({}, RmqFactory(10));
   EXPECT_TRUE(report.tasks.empty());
   EXPECT_EQ(report.total_frontier, 0u);
   EXPECT_EQ(report.max_frontier, 0u);
 }
 
-// The core determinism guarantee: identical task seeds and iteration budgets
-// produce bitwise-identical frontiers regardless of the thread count.
-TEST(BatchOptimizerTest, FrontiersIdenticalAcrossThreadCounts) {
-  std::vector<BatchTask> tasks = SmallBatch(8, 6);
-
-  BatchConfig single;
-  single.num_threads = 1;
-  BatchReport reference = BatchOptimizer(single, RmqFactory(25)).Run(tasks);
-
-  BatchConfig parallel;
-  parallel.num_threads = 8;
-  BatchReport wide = BatchOptimizer(parallel, RmqFactory(25)).Run(tasks);
-
-  ASSERT_EQ(reference.tasks.size(), wide.tasks.size());
-  for (const BatchTaskResult& task : reference.tasks) {
-    EXPECT_FALSE(task.frontier.empty());
-  }
-  BatchComparison cmp = CompareToReference(reference, wide);
-  EXPECT_TRUE(cmp.identical);
-  EXPECT_DOUBLE_EQ(cmp.max_alpha, 1.0);
-  EXPECT_DOUBLE_EQ(cmp.mean_alpha, 1.0);
-}
-
 TEST(BatchOptimizerTest, RepeatedRunsAreDeterministic) {
   std::vector<BatchTask> tasks = SmallBatch(4, 6);
-  BatchConfig config;
-  config.num_threads = 3;
-  BatchOptimizer batch(config, RmqFactory(15));
-  BatchComparison cmp = CompareToReference(batch.Run(tasks), batch.Run(tasks));
+  BatchComparison cmp = CompareToReference(RunBlocking(tasks, RmqFactory(15)),
+                                           RunBlocking(tasks, RmqFactory(15)));
   EXPECT_TRUE(cmp.identical);
 }
 
 // A task with a wall-clock deadline must return promptly once it expires,
-// even mid-optimization on a large query. The slack absorbs scheduler noise
-// and sanitizer overhead; it is far below the runtime of an unbounded run.
+// even mid-optimization on a large query. Each window starts when its task
+// starts, so every task runs its full window despite its predecessors. The
+// upper slack absorbs scheduler noise and sanitizer overhead; it is far
+// below the runtime of an unbounded run.
 TEST(BatchOptimizerTest, HonorsTaskDeadlines) {
   constexpr int64_t kDeadlineMicros = 100 * 1000;
   std::vector<BatchTask> tasks = SmallBatch(4, 18, kDeadlineMicros);
-  BatchConfig config;
-  config.num_threads = 2;
-  BatchOptimizer batch(config, RmqFactory(/*max_iterations=*/0));
-  BatchReport report = batch.Run(tasks);
+  BatchReport report = RunBlocking(tasks, RmqFactory(/*max_iterations=*/0));
   ASSERT_EQ(report.tasks.size(), 4u);
   for (const BatchTaskResult& task : report.tasks) {
     EXPECT_TRUE(task.had_deadline);
+    EXPECT_GE(task.optimize_millis, 90.0);
     EXPECT_LT(task.optimize_millis, 2000.0);
-  }
-}
-
-// hold_full_window keeps each slot occupied for the full optimization
-// window: two windows on one thread take at least two windows of wall time.
-TEST(BatchOptimizerTest, HoldFullWindowOccupiesSlotUntilDeadline) {
-  constexpr int64_t kWindowMicros = 50 * 1000;
-  std::vector<BatchTask> tasks = SmallBatch(2, 4, kWindowMicros);
-  BatchConfig config;
-  config.num_threads = 1;
-  config.hold_full_window = true;
-  BatchOptimizer batch(config, RmqFactory(1));
-  BatchReport report = batch.Run(tasks);
-  EXPECT_GE(report.wall_millis, 95.0);
-  for (const BatchTaskResult& task : report.tasks) {
-    EXPECT_GE(task.elapsed_millis, 45.0);
     EXPECT_GE(task.elapsed_millis, task.optimize_millis);
   }
 }
 
 TEST(BatchOptimizerTest, ReportAggregatesFrontierSizes) {
   std::vector<BatchTask> tasks = SmallBatch(3, 5);
-  BatchConfig config;
-  BatchOptimizer batch(config, RmqFactory(10));
-  BatchReport report = batch.Run(tasks);
+  BatchReport report = RunBlocking(tasks, RmqFactory(10));
   size_t total = 0;
   size_t max = 0;
   for (const BatchTaskResult& task : report.tasks) {
@@ -217,10 +148,8 @@ TEST(BatchOptimizerTest, GaveUpDpRunIsNeverADeadlineHit) {
   std::vector<BatchTask> tasks =
       GenerateBatch(1, generator, /*master_seed=*/3, /*deadline_micros=*/
                     60 * 1000 * 1000);
-  BatchConfig config;
-  BatchReport report = BatchOptimizer(config, [] {
-                         return std::make_unique<DpOptimizer>();
-                       }).Run(tasks);
+  BatchReport report =
+      RunBlocking(tasks, [] { return std::make_unique<DpOptimizer>(); });
   ASSERT_EQ(report.tasks.size(), 1u);
   EXPECT_TRUE(report.tasks[0].gave_up);
   EXPECT_TRUE(report.tasks[0].frontier.empty());
@@ -255,83 +184,10 @@ TEST(BatchReportTest, SummaryReportsPercentilesAndTotals) {
   EXPECT_NE(summary.find("p95 4"), std::string::npos);
 }
 
-// The cooperative scheduler must produce frontiers bitwise identical to a
-// blocking single-thread run of the same iteration-bounded tasks — the
-// end-to-end determinism contract spanning sessions and multiplexing.
-TEST(CooperativeSchedulerTest, MatchesBlockingBatchReference) {
-  std::vector<BatchTask> tasks = SmallBatch(8, 6);
-
-  BatchConfig single;
-  single.num_threads = 1;
-  BatchReport reference = BatchOptimizer(single, RmqFactory(25)).Run(tasks);
-
-  CooperativeConfig coop;
-  coop.num_threads = 4;
-  coop.steps_per_slice = 3;
-  BatchReport multiplexed =
-      CooperativeScheduler(coop, RmqFactory(25)).Run(tasks);
-
-  ASSERT_EQ(multiplexed.tasks.size(), tasks.size());
-  BatchComparison cmp = CompareToReference(reference, multiplexed);
-  EXPECT_TRUE(cmp.identical);
-  EXPECT_DOUBLE_EQ(cmp.max_alpha, 1.0);
-  for (const BatchTaskResult& task : multiplexed.tasks) {
-    EXPECT_FALSE(task.frontier.empty());
-    EXPECT_EQ(task.steps, 25);
-    EXPECT_GE(task.elapsed_millis, task.optimize_millis);
-  }
-}
-
-TEST(CooperativeSchedulerTest, DeterministicAcrossThreadsAndSliceSizes) {
-  std::vector<BatchTask> tasks = SmallBatch(6, 6);
-
-  CooperativeConfig narrow;
-  narrow.num_threads = 1;
-  narrow.steps_per_slice = 1;
-  BatchReport a = CooperativeScheduler(narrow, RmqFactory(15)).Run(tasks);
-
-  CooperativeConfig wide;
-  wide.num_threads = 8;
-  wide.steps_per_slice = 4;
-  BatchReport b = CooperativeScheduler(wide, RmqFactory(15)).Run(tasks);
-
-  BatchComparison cmp = CompareToReference(a, b);
-  EXPECT_TRUE(cmp.identical);
-}
-
-TEST(CooperativeSchedulerTest, EmptyBatchReturnsEmptyReport) {
-  CooperativeConfig config;
-  config.num_threads = 4;
-  BatchReport report = CooperativeScheduler(config, RmqFactory(5)).Run({});
-  EXPECT_TRUE(report.tasks.empty());
-  EXPECT_EQ(report.total_frontier, 0u);
-}
-
-// A deadline-bounded task with an unbounded optimizer must be finalized
-// once its wall-clock window (started at admission) expires.
-TEST(CooperativeSchedulerTest, HonorsTaskDeadlines) {
-  constexpr int64_t kDeadlineMicros = 100 * 1000;
-  std::vector<BatchTask> tasks = SmallBatch(4, 18, kDeadlineMicros);
-  CooperativeConfig config;
-  config.num_threads = 2;
-  CooperativeScheduler scheduler(config, RmqFactory(/*max_iterations=*/0));
-  Stopwatch watch;
-  BatchReport report = scheduler.Run(tasks);
-  EXPECT_LT(watch.ElapsedMillis(), 5000.0);
-  ASSERT_EQ(report.tasks.size(), 4u);
-  for (const BatchTaskResult& task : report.tasks) {
-    EXPECT_TRUE(task.had_deadline);
-    EXPECT_GT(task.elapsed_millis, 0.0);
-  }
-}
-
 TEST(CanonicalFrontierTest, SortsLexicographically) {
   // CanonicalFrontier is what makes bitwise comparison order-insensitive;
   // verify the ordering contract directly on cost vectors via a batch run.
-  std::vector<BatchTask> tasks = SmallBatch(1, 6);
-  BatchConfig config;
-  BatchOptimizer batch(config, RmqFactory(20));
-  BatchReport report = batch.Run(tasks);
+  BatchReport report = RunBlocking(SmallBatch(1, 6), RmqFactory(20));
   ASSERT_EQ(report.tasks.size(), 1u);
   const std::vector<CostVector>& frontier = report.tasks[0].frontier;
   for (size_t i = 1; i < frontier.size(); ++i) {

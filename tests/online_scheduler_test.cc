@@ -39,6 +39,17 @@ std::vector<BatchTask> SmallBatch(int n, int tables,
   return GenerateBatch(n, generator, master_seed, deadline_micros);
 }
 
+// A closed batch: admit every task up front, then let Stop() start the
+// workers and run the backlog dry.
+BatchReport RunClosedBatch(const OnlineConfig& config,
+                           OptimizerFactory make_optimizer,
+                           const std::vector<BatchTask>& tasks) {
+  OnlineScheduler service(config, std::move(make_optimizer));
+  for (const BatchTask& task : tasks) {
+    EXPECT_TRUE(service.Submit(task).has_value());
+  }
+  return service.Stop();
+}
 
 // The acceptance contract of the online service: tasks submitted while the
 // workers are already running produce frontiers bitwise identical to a
@@ -47,9 +58,7 @@ std::vector<BatchTask> SmallBatch(int n, int tables,
 TEST(OnlineSchedulerTest, SubmitWhileRunningMatchesBlockingReference) {
   std::vector<BatchTask> tasks = SmallBatch(10, 6);
 
-  BatchConfig single;
-  single.num_threads = 1;
-  BatchReport reference = BatchOptimizer(single, RmqFactory(20)).Run(tasks);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(20));
 
   const SchedulingPolicy policies[] = {
       SchedulingPolicy::kFifo, SchedulingPolicy::kEarliestDeadlineFirst,
@@ -116,6 +125,74 @@ TEST(OnlineSchedulerTest, SubmitBeforeStartBuildsBacklogAndDrains) {
   }
 }
 
+// A closed batch multiplexed over a pool reproduces the blocking reference
+// bitwise, and the report keeps the per-slice accounting: every task ran
+// its full iteration budget, and latency since admission covers the
+// (sliced) optimize time.
+TEST(OnlineSchedulerTest, ClosedBatchMatchesBlockingReference) {
+  std::vector<BatchTask> tasks = SmallBatch(8, 6);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(25));
+
+  OnlineConfig config;
+  config.num_threads = 4;
+  config.steps_per_slice = 3;
+  BatchReport multiplexed = RunClosedBatch(config, RmqFactory(25), tasks);
+
+  ASSERT_EQ(multiplexed.tasks.size(), tasks.size());
+  BatchComparison cmp = CompareToReference(reference, multiplexed);
+  EXPECT_TRUE(cmp.identical);
+  EXPECT_DOUBLE_EQ(cmp.max_alpha, 1.0);
+  for (const BatchTaskResult& task : multiplexed.tasks) {
+    EXPECT_FALSE(task.frontier.empty());
+    EXPECT_EQ(task.steps, 25);
+    EXPECT_GE(task.elapsed_millis, task.optimize_millis);
+  }
+}
+
+TEST(OnlineSchedulerTest, ClosedBatchDeterministicAcrossThreadsAndSliceSizes) {
+  std::vector<BatchTask> tasks = SmallBatch(6, 6);
+
+  OnlineConfig narrow;
+  narrow.num_threads = 1;
+  narrow.steps_per_slice = 1;
+  BatchReport a = RunClosedBatch(narrow, RmqFactory(15), tasks);
+
+  OnlineConfig wide;
+  wide.num_threads = 8;
+  wide.steps_per_slice = 4;
+  BatchReport b = RunClosedBatch(wide, RmqFactory(15), tasks);
+
+  BatchComparison cmp = CompareToReference(a, b);
+  EXPECT_TRUE(cmp.identical);
+}
+
+TEST(OnlineSchedulerTest, EmptyClosedBatchReturnsEmptyReport) {
+  OnlineConfig config;
+  config.num_threads = 4;
+  BatchReport report = RunClosedBatch(config, RmqFactory(5), {});
+  EXPECT_TRUE(report.tasks.empty());
+  EXPECT_EQ(report.total_frontier, 0u);
+  EXPECT_EQ(report.num_threads, 4);
+}
+
+// A deadline-bounded task with an unbounded optimizer must be finalized
+// once its wall-clock window (started at admission) expires.
+TEST(OnlineSchedulerTest, ClosedBatchHonorsTaskDeadlines) {
+  constexpr int64_t kDeadlineMicros = 100 * 1000;
+  std::vector<BatchTask> tasks = SmallBatch(4, 18, kDeadlineMicros);
+  OnlineConfig config;
+  config.num_threads = 2;
+  Stopwatch watch;
+  BatchReport report =
+      RunClosedBatch(config, RmqFactory(/*max_iterations=*/0), tasks);
+  EXPECT_LT(watch.ElapsedMillis(), 5000.0);
+  ASSERT_EQ(report.tasks.size(), 4u);
+  for (const BatchTaskResult& task : report.tasks) {
+    EXPECT_TRUE(task.had_deadline);
+    EXPECT_GT(task.elapsed_millis, 0.0);
+  }
+}
+
 // The headline scheduling claim: on a skewed workload — a backlog of
 // loose-deadline queries admitted ahead of a burst of tight-deadline ones —
 // EDF completes strictly more deadline windows than FIFO. Work and
@@ -129,11 +206,9 @@ TEST(OnlineSchedulerTest, EdfBeatsFifoOnSkewedDeadlineWorkload) {
 
   // Warm up (cold caches would inflate the calibration), then measure the
   // per-task cost of this workload on this machine.
-  BatchConfig single;
-  single.num_threads = 1;
-  BatchOptimizer(single, RmqFactory(kIterations)).Run(SmallBatch(2, 6));
+  RunBlocking(SmallBatch(2, 6), RmqFactory(kIterations));
   Stopwatch calib_watch;
-  BatchOptimizer(single, RmqFactory(kIterations)).Run(SmallBatch(4, 6));
+  RunBlocking(SmallBatch(4, 6), RmqFactory(kIterations));
   const double per_task_millis = calib_watch.ElapsedMillis() / 4.0;
   const auto scaled = [per_task_millis](double factor) {
     return static_cast<int64_t>(factor * per_task_millis * 1000.0);
@@ -155,10 +230,7 @@ TEST(OnlineSchedulerTest, EdfBeatsFifoOnSkewedDeadlineWorkload) {
     // order, making the structural miss/hit argument exact.
     config.steps_per_slice = kIterations;
     config.policy = policy;
-    OnlineScheduler service(config, RmqFactory(kIterations));
-    for (const BatchTask& task : workload) service.Submit(task);
-    service.Start();
-    return service.Stop();
+    return RunClosedBatch(config, RmqFactory(kIterations), workload);
   };
 
   BatchReport fifo = run_policy(SchedulingPolicy::kFifo);
@@ -336,9 +408,7 @@ TEST(OnlineSchedulerTest, GaveUpDpTaskIsNeverADeadlineHit) {
 TEST(OnlineSchedulerTest, SuspendResumeMigrationMatchesBlockingReference) {
   std::vector<BatchTask> tasks = SmallBatch(8, 6);
 
-  BatchConfig single;
-  single.num_threads = 1;
-  BatchReport reference = BatchOptimizer(single, RmqFactory(20)).Run(tasks);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(20));
 
   OnlineConfig config;
   config.num_threads = 2;
@@ -385,9 +455,7 @@ TEST(OnlineSchedulerTest, SuspendResumeMigrationMatchesBlockingReference) {
 // the session from scratch with its original seed.
 TEST(OnlineSchedulerTest, SuspendFromBacklogAndResumeIntoSameScheduler) {
   std::vector<BatchTask> tasks = SmallBatch(2, 5);
-  BatchConfig single;
-  single.num_threads = 1;
-  BatchReport reference = BatchOptimizer(single, RmqFactory(8)).Run(tasks);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(8));
 
   OnlineConfig config;
   config.num_threads = 1;
@@ -608,9 +676,7 @@ TEST(OnlineSchedulerTest, ResumeRequiresRunningScheduler) {
 TEST(OnlineSchedulerTest, ConcurrentSuspendResumeUnderLoadIsRaceFree) {
   constexpr int kTasks = 12;
   std::vector<BatchTask> tasks = SmallBatch(kTasks, 6);
-  BatchConfig single;
-  single.num_threads = 1;
-  BatchReport reference = BatchOptimizer(single, RmqFactory(30)).Run(tasks);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(30));
 
   OnlineConfig config;
   config.num_threads = 4;
@@ -663,9 +729,7 @@ TEST(OnlineSchedulerTest, ConcurrentSuspendResumeUnderLoadIsRaceFree) {
 // a restorable mid-run state, and never perturb results.
 TEST(OnlineSchedulerTest, PeriodicSnapshotsAreObservableAndHarmless) {
   std::vector<BatchTask> tasks = SmallBatch(6, 6);
-  BatchConfig single;
-  single.num_threads = 1;
-  BatchReport reference = BatchOptimizer(single, RmqFactory(30)).Run(tasks);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(30));
 
   std::mutex mu;
   std::vector<TaskSnapshot> collected;

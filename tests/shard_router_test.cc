@@ -37,13 +37,6 @@ std::vector<BatchTask> SmallBatch(int n, int tables,
   return GenerateBatch(n, generator, master_seed, /*deadline_micros=*/0);
 }
 
-BatchReport BlockingReference(const std::vector<BatchTask>& tasks,
-                              int iterations) {
-  BatchConfig single;
-  single.num_threads = 1;
-  return BatchOptimizer(single, RmqFactory(iterations)).Run(tasks);
-}
-
 // Placement is a pure function of query + seed + membership: two routers
 // with the same configuration agree on every task, and the distribution
 // uses more than one shard for a reasonable workload.
@@ -104,7 +97,7 @@ TEST(ShardRouterTest, MembershipChangeMovesOnlyAffectedKeys) {
 // submission order).
 TEST(ShardRouterTest, StaticShardingMatchesUnshardedReference) {
   std::vector<BatchTask> tasks = SmallBatch(12, 6);
-  BatchReport reference = BlockingReference(tasks, 20);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(20));
 
   ShardRouterConfig config;
   config.num_shards = 4;
@@ -142,7 +135,7 @@ TEST(ShardRouterTest, StaticShardingMatchesUnshardedReference) {
 // the reference frontier bitwise.
 TEST(ShardRouterTest, RebalanceUnderMembershipChangeIsInvisible) {
   std::vector<BatchTask> tasks = SmallBatch(16, 6);
-  BatchReport reference = BlockingReference(tasks, 25);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(25));
 
   ShardRouterConfig config;
   config.num_shards = 2;
@@ -225,7 +218,7 @@ TEST(ShardRouterTest, RejectionPropagates) {
 TEST(ShardRouterTest, PingPongRebalanceUnderLoadIsRaceFree) {
   constexpr int kTasks = 24;
   std::vector<BatchTask> tasks = SmallBatch(kTasks, 6);
-  BatchReport reference = BlockingReference(tasks, 30);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(30));
 
   ShardRouterConfig config;
   config.num_shards = 2;
@@ -266,7 +259,7 @@ TEST(ShardRouterTest, PingPongRebalanceUnderLoadIsRaceFree) {
 // resume on a different scheduler — the original future delivers.
 TEST(ShardRouterTest, ManualWireHopDeliversThroughOriginalFuture) {
   std::vector<BatchTask> tasks = SmallBatch(1, 6);
-  BatchReport reference = BlockingReference(tasks, 12);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(12));
 
   OnlineConfig config;
   config.num_threads = 1;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <set>
@@ -21,6 +22,7 @@
 #include "core/rmq.h"
 #include "net/frame_channel.h"
 #include "service/batch_optimizer.h"
+#include "service/frontier_cache.h"
 #include "service/remote_shard.h"
 #include "service/shard_protocol.h"
 #include "service/shard_router.h"
@@ -42,13 +44,6 @@ std::vector<BatchTask> SmallBatch(int n, int tables,
   GeneratorConfig generator;
   generator.num_tables = tables;
   return GenerateBatch(n, generator, master_seed, /*deadline_micros=*/0);
-}
-
-BatchReport BlockingReference(const std::vector<BatchTask>& tasks,
-                              int iterations) {
-  BatchConfig single;
-  single.num_threads = 1;
-  return BatchOptimizer(single, RmqFactory(iterations)).Run(tasks);
 }
 
 ShardServerConfig ServerConfig(int snapshot_every = 0) {
@@ -91,7 +86,7 @@ struct ServeThread {
 
 TEST(ShardServerTest, SubmitOverWireMatchesBlockingReference) {
   std::vector<BatchTask> tasks = SmallBatch(8, 6);
-  BatchReport reference = BlockingReference(tasks, 20);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(20));
 
   ServeThread serve;
   net::FrameChannel client_end;
@@ -123,12 +118,69 @@ TEST(ShardServerTest, SubmitOverWireMatchesBlockingReference) {
   }
 }
 
+// Regression for a lost-reply race: the client must register a task before
+// sending it, because the server answers a frontier-cache exact hit as
+// soon as it reads the frame — possibly before the client's send returns.
+// Several submitters keep the receiver busy, so a submitter often waits for
+// the lock between its send and its registration. A lost reply is a future
+// that never resolves, so every wait is bounded.
+TEST(ShardServerTest, ExactCacheHitRepliesAreNeverLost) {
+  constexpr size_t kSubmitters = 4;
+  constexpr size_t kRepeatsEach = 100;
+  const std::chrono::seconds kPatience(30);
+  std::vector<BatchTask> tasks = SmallBatch(1, 6);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(20));
+
+  ShardServerConfig config = ServerConfig();
+  config.scheduler.frontier_cache = std::make_shared<FrontierCache>();
+  ServeThread serve;
+  net::FrameChannel client_end;
+  ASSERT_TRUE(net::FrameChannel::Pair(&serve.server_end, &client_end));
+  serve.Start(config, 20);
+  RemoteShard shard(ClientConfig(), std::move(client_end));
+  shard.Start();
+
+  // The first run fills the cache; every later submission is an exact hit.
+  auto first = shard.Submit(tasks[0]);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(first->wait_for(kPatience), std::future_status::ready);
+  ASSERT_TRUE(BitwiseEqual(first->get().frontier, reference.tasks[0].frontier));
+
+  std::vector<std::vector<std::future<BatchTaskResult>>> tickets(kSubmitters);
+  std::vector<std::thread> submitters;
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      for (size_t i = 0; i < kRepeatsEach; ++i) {
+        auto ticket = shard.Submit(tasks[0]);
+        if (ticket.has_value()) tickets[t].push_back(std::move(*ticket));
+      }
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+
+  size_t cache_served = 0;
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    ASSERT_EQ(tickets[t].size(), kRepeatsEach);
+    for (size_t i = 0; i < kRepeatsEach; ++i) {
+      ASSERT_EQ(tickets[t][i].wait_for(kPatience), std::future_status::ready)
+          << "submitter " << t << " lost the reply to submission " << i;
+      BatchTaskResult result = tickets[t][i].get();
+      EXPECT_TRUE(BitwiseEqual(result.frontier, reference.tasks[0].frontier));
+      if (result.served_from_cache) ++cache_served;
+    }
+  }
+  EXPECT_EQ(cache_served, kSubmitters * kRepeatsEach);
+  shard.Stop();
+  serve.Join();
+  EXPECT_TRUE(serve.clean);
+}
+
 // A task suspended mid-run off a local scheduler finishes bitwise
 // identically on the far side of the wire: the checkpoint crosses as
 // opaque bytes and restores against the rebuilt query.
 TEST(ShardServerTest, MidRunResumeOverWireIsBitwiseIdentical) {
   std::vector<BatchTask> tasks = SmallBatch(6, 6);
-  BatchReport reference = BlockingReference(tasks, 20);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(20));
 
   ServeThread serve;
   net::FrameChannel client_end;
@@ -177,7 +229,7 @@ TEST(ShardServerTest, MidRunResumeOverWireIsBitwiseIdentical) {
 // results.
 TEST(ShardServerTest, PeriodicSnapshotsReachTheClient) {
   std::vector<BatchTask> tasks = SmallBatch(4, 6);
-  BatchReport reference = BlockingReference(tasks, 40);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(40));
 
   ShardServerConfig config = ServerConfig(/*snapshot_every=*/1);
   config.scheduler.steps_per_slice = 2;  // many slice boundaries
@@ -209,7 +261,7 @@ TEST(ShardServerTest, PeriodicSnapshotsReachTheClient) {
 // and finishes on a local scheduler, bitwise identical.
 TEST(ShardServerTest, SuspendOverWireFinishesLocally) {
   std::vector<BatchTask> tasks = SmallBatch(6, 6);
-  BatchReport reference = BlockingReference(tasks, 30);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(30));
 
   ShardServerConfig config = ServerConfig();
   config.scheduler.steps_per_slice = 2;
@@ -352,7 +404,7 @@ TEST(ShardServerTest, ShutdownHandshakeAndClientEof) {
 // frontiers bitwise identical to the unperturbed reference.
 TEST(ShardServerTest, DeadConnectionOrphansReplayThroughFailShard) {
   std::vector<BatchTask> tasks = SmallBatch(10, 6);
-  BatchReport reference = BlockingReference(tasks, 15);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(15));
 
   ShardRouterConfig router_config;
   router_config.num_shards = 1;  // the survivor

@@ -39,13 +39,6 @@ std::vector<BatchTask> SmallBatch(int n, int tables,
   return GenerateBatch(n, generator, master_seed, /*deadline_micros=*/0);
 }
 
-BatchReport BlockingReference(const std::vector<BatchTask>& tasks,
-                              int iterations) {
-  BatchConfig single;
-  single.num_threads = 1;
-  return BatchOptimizer(single, RmqFactory(iterations)).Run(tasks);
-}
-
 ShardSupervisorConfig SupervisorConfig() {
   ShardSupervisorConfig config;
   config.server_binary = MOQO_SHARDD_PATH;
@@ -60,7 +53,7 @@ ShardSupervisorConfig SupervisorConfig() {
 
 TEST(ShardSupervisorTest, MixedLocalAndRemoteShardsMatchReference) {
   std::vector<BatchTask> tasks = SmallBatch(10, 6);
-  BatchReport reference = BlockingReference(tasks, kIterations);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(kIterations));
 
   ShardRouterConfig router_config;
   router_config.num_shards = 1;
@@ -98,7 +91,7 @@ TEST(ShardSupervisorTest, MixedLocalAndRemoteShardsMatchReference) {
 // survivors, and every ORIGINAL future delivers bitwise-identically.
 TEST(ShardSupervisorTest, Kill9MidStreamFailsOverBitwiseIdentically) {
   std::vector<BatchTask> tasks = SmallBatch(12, 6);
-  BatchReport reference = BlockingReference(tasks, kIterations);
+  BatchReport reference = RunBlocking(tasks, RmqFactory(kIterations));
 
   ShardRouterConfig router_config;
   router_config.num_shards = 1;  // one local survivor is always present
