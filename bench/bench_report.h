@@ -1,9 +1,8 @@
 // Shared JSON emitter for the benches.
 //
-// arrival_stream, multiplex_throughput, shard_throughput, and the
-// micro_substrates gate each emit machine-readable results; this header
-// gives them one schema so bench/trajectory.py and the CI bench-regression
-// job parse a single format:
+// arrival_stream, multiplex_throughput and perfbench's moqo_bench each
+// emit machine-readable results (`--json=out.json`); this header gives
+// them one schema:
 //
 //   {
 //     "schema": "moqo-bench-v1",

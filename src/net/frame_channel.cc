@@ -238,7 +238,9 @@ IoStatus FrameChannel::Recv(std::vector<uint8_t>* payload, int timeout_ms) {
 
 bool FrameChannel::Pair(FrameChannel* a, FrameChannel* b) {
   int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return false;
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    return false;
+  }
   *a = FrameChannel(fds[0]);
   *b = FrameChannel(fds[1]);
   return true;
@@ -276,7 +278,7 @@ std::optional<FrameListener> FrameListener::ListenUnix(
     SetError(error, "unix socket path too long: " + path);
     return std::nullopt;
   }
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     SetError(error, Errno("socket"));
     return std::nullopt;
@@ -299,7 +301,7 @@ std::optional<FrameListener> FrameListener::ListenUnix(
 
 std::optional<FrameListener> FrameListener::ListenTcp(uint16_t port,
                                                       std::string* error) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     SetError(error, Errno("socket"));
     return std::nullopt;
@@ -351,7 +353,7 @@ std::optional<FrameChannel> FrameListener::Accept(int timeout_ms) {
       last_error_ = "accept timed out";
       return std::nullopt;
     }
-    int fd = ::accept(fd_, nullptr, nullptr);
+    int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
         continue;
@@ -427,7 +429,7 @@ std::optional<FrameChannel> ConnectUnix(const std::string& path,
     SetError(error, "unix socket path too long: " + path);
     return std::nullopt;
   }
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     SetError(error, Errno("socket"));
     return std::nullopt;
@@ -449,7 +451,7 @@ std::optional<FrameChannel> ConnectTcp(const std::string& host,
     SetError(error, "unparsable IPv4 address: " + host);
     return std::nullopt;
   }
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     SetError(error, Errno("socket"));
     return std::nullopt;

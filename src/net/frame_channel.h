@@ -29,6 +29,9 @@
 //     matters only for diagnostics.
 //   * Recv() and Accept()/Connect take millisecond timeouts (-1 = block),
 //     so a supervisor can bound how long a silent shard is trusted.
+//   * Every socket is created close-on-exec, so a spawned shardd child
+//     never inherits the parent's sockets to other shards (an inherited
+//     copy would keep a killed shard's connection from reaching EOF).
 //
 // Thread-safety: one concurrent sender plus one concurrent receiver per
 // channel is supported — the two directions share no mutable state, down

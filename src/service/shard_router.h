@@ -36,8 +36,8 @@
 // rebalancing, and failover affect only timing. Iteration-bounded tasks
 // produce frontiers bitwise identical to an unsharded OnlineScheduler
 // reference — across any shard count, any AddShard/RemoveShard schedule,
-// and any kill schedule — which bench/shard_throughput.cc and
-// bench/failover_bench.cc gate on every run.
+// and any kill schedule — which tests/shard_router_test.cc and
+// tests/shard_supervisor_test.cc gate on every run.
 //
 // Thread-safety: Submit/Drain/AddShard/RemoveShard/FailShard/observers may
 // be called concurrently from any thread (one router mutex serializes

@@ -23,7 +23,7 @@
 // rebuilds the query through the same value types, so a session checkpoint
 // restored against the rebuilt query continues bitwise identically to one
 // that never crossed the wire (gated by tests/wire_test.cc and
-// bench/shard_throughput.cc).
+// tests/shard_server_test.cc).
 #ifndef MOQO_SERVICE_WIRE_H_
 #define MOQO_SERVICE_WIRE_H_
 

@@ -1,12 +1,14 @@
 // Frame transport robustness suite: round-trips over socketpairs, torn
 // I/O (1-byte chunks on both directions), truncation at every byte of a
 // frame followed by peer death, corrupted CRC/magic/length fields,
-// partial frames surviving Recv timeouts, duplicate frame delivery, and
-// the connect/accept timeout paths for Unix-domain and TCP listeners.
+// partial frames surviving Recv timeouts, duplicate frame delivery, the
+// connect/accept timeout paths for Unix-domain and TCP listeners, and
+// close-on-exec on every socket handed out.
 #include "net/frame_channel.h"
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -323,6 +325,35 @@ TEST(FrameListenerTest, TcpEphemeralPortRoundTrips) {
   EXPECT_EQ(got, Payload(33, 11));
   EXPECT_EQ(accepted->Send(Payload(5, 12)), IoStatus::kOk);
   client.join();
+}
+
+bool CloseOnExec(int fd) { return (::fcntl(fd, F_GETFD) & FD_CLOEXEC) != 0; }
+
+// A shardd child spawned later must not inherit the parent's sockets to
+// other shards: every fd FrameChannel hands out is close-on-exec.
+TEST(FrameChannelTest, SocketsAreCloseOnExec) {
+  FrameChannel a, b;
+  ASSERT_TRUE(FrameChannel::Pair(&a, &b));
+  EXPECT_TRUE(CloseOnExec(a.fd()));
+  EXPECT_TRUE(CloseOnExec(b.fd()));
+
+  std::string path = TempSocketPath("cloexec");
+  std::string error;
+  auto unix_listener = FrameListener::ListenUnix(path, &error);
+  ASSERT_TRUE(unix_listener.has_value()) << error;
+  auto unix_client = ConnectUnix(path, 2000, &error);
+  ASSERT_TRUE(unix_client.has_value()) << error;
+  auto unix_server = unix_listener->Accept(2000);
+  ASSERT_TRUE(unix_server.has_value()) << unix_listener->last_error();
+  EXPECT_TRUE(CloseOnExec(unix_client->fd()));
+  EXPECT_TRUE(CloseOnExec(unix_server->fd()));
+
+  auto tcp_listener = FrameListener::ListenTcp(0, &error);
+  ASSERT_TRUE(tcp_listener.has_value()) << error;
+  auto tcp_client =
+      ConnectTcp("127.0.0.1", tcp_listener->port(), 2000, &error);
+  ASSERT_TRUE(tcp_client.has_value()) << error;
+  EXPECT_TRUE(CloseOnExec(tcp_client->fd()));
 }
 
 }  // namespace

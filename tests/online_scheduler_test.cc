@@ -31,6 +31,22 @@ OptimizerFactory RmqFactory(int max_iterations) {
   };
 }
 
+/// True if every cost vector of `subset` appears bitwise in `superset`.
+bool ContainsAll(const std::vector<CostVector>& superset,
+                 const std::vector<CostVector>& subset) {
+  for (const CostVector& want : subset) {
+    bool found = false;
+    for (const CostVector& have : superset) {
+      if (BitwiseEqual({have}, {want})) {
+        found = true;
+        break;
+      }
+    }
+    if (!found) return false;
+  }
+  return true;
+}
+
 std::vector<BatchTask> SmallBatch(int n, int tables,
                                   int64_t deadline_micros = 0,
                                   uint64_t master_seed = 2016) {
@@ -880,6 +896,12 @@ TEST(OnlineSchedulerTest, WarmCacheHitRunsFullSessionAndReplacesEntry) {
   EXPECT_FALSE(warm.served_from_cache);
   EXPECT_EQ(warm.steps, 20);  // a real run, not a shortcut
   EXPECT_FALSE(warm.frontier.empty());
+  // No quality loss: every point of a cold run of the same reseeded task
+  // reappears bitwise in the warm-started frontier.
+  BatchReport cold = RunBlocking({reseeded}, RmqFactory(20));
+  ASSERT_EQ(cold.tasks.size(), 1u);
+  EXPECT_FALSE(cold.tasks[0].frontier.empty());
+  EXPECT_TRUE(ContainsAll(warm.frontier, cold.tasks[0].frontier));
 
   FrontierCacheStats stats = cache->stats();
   EXPECT_EQ(stats.warm_hits, 1u);

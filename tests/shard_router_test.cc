@@ -17,6 +17,7 @@
 
 #include "core/rmq.h"
 #include "service/batch_optimizer.h"
+#include "service/shard.h"
 #include "service/wire.h"
 
 namespace moqo {
@@ -130,6 +131,15 @@ TEST(ShardRouterTest, StaticShardingMatchesUnshardedReference) {
   EXPECT_EQ(report.migrated_tasks, 0u);
 }
 
+// A local shard whose workers never start: every task it admits stays
+// queued, so a rebalance always finds it in flight — migration counts that
+// do not depend on how fast the live shards run.
+class UnstartedShard : public LocalShard {
+ public:
+  using LocalShard::LocalShard;
+  void Start() override {}
+};
+
 // Mid-run elasticity: shards added and removed while tasks are in flight
 // rebalance via suspend -> wire -> resume, and every future still delivers
 // the reference frontier bitwise.
@@ -143,6 +153,19 @@ TEST(ShardRouterTest, RebalanceUnderMembershipChangeIsInvisible) {
   config.shard.steps_per_slice = 1;
   ShardRouter router(config, RmqFactory(25));
   router.Start();
+  // A task submitted onto the unstarted shard migrates at least once: off
+  // it when the live AddShard below takes its key, else when it is removed
+  // at the end. Tasks 6..11 are submitted while the added shard is up, so
+  // they are left out of the count.
+  size_t unstarted = router.AddShard(
+      std::make_unique<UnstartedShard>(config.shard, RmqFactory(25)));
+  size_t pinned = 0;
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    if ((i <= 5 || i >= 12) && router.ShardFor(tasks[i]) == unstarted) {
+      ++pinned;
+    }
+  }
+  ASSERT_GE(pinned, 1u) << "no task hashed onto the unstarted shard";
 
   std::vector<std::future<BatchTaskResult>> tickets;
   size_t added = 0;
@@ -155,7 +178,9 @@ TEST(ShardRouterTest, RebalanceUnderMembershipChangeIsInvisible) {
       ASSERT_TRUE(router.RemoveShard(added));
     }
   }
+  ASSERT_TRUE(router.RemoveShard(unstarted));
   EXPECT_EQ(router.shard_count(), 2u);
+  EXPECT_GE(router.migrations(), pinned);
   router.Drain();
 
   for (size_t i = 0; i < tickets.size(); ++i) {
