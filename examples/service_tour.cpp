@@ -147,7 +147,8 @@ int main() {
       tickets.push_back(std::move(*ticket));
       if (i + 1 == half) {
         size_t added = router.AddShard();
-        std::cout << "shard " << added << " added, " << router.migrations()
+        std::cout << "shard " << added << " added, "
+                  << router.stats().migrations
                   << " in-flight quer(ies) rebalanced\n";
       }
     }
@@ -192,8 +193,9 @@ int main() {
           std::cerr << "failover never completed\n";
           return 1;
         }
-        std::cout << "failover: " << router.failover_replayed()
-                  << " quer(ies) replayed, " << router.failover_checkpointed()
+        ShardRouterStats stats = router.stats();
+        std::cout << "failover: " << stats.failover_replayed
+                  << " quer(ies) replayed, " << stats.failover_checkpointed
                   << " from mid-run snapshots\n";
       }
     }

@@ -339,19 +339,9 @@ BatchReport OnlineScheduler::Stop() {
   return report;
 }
 
-size_t OnlineScheduler::open_count() const {
+ShardStats OnlineScheduler::stats() const {
   MutexLock lock(mu_);
-  return open_;
-}
-
-size_t OnlineScheduler::submitted_count() const {
-  MutexLock lock(mu_);
-  return queries_.size();
-}
-
-size_t OnlineScheduler::snapshot_count() const {
-  MutexLock lock(mu_);
-  return snapshots_taken_;
+  return ShardStats{queries_.size(), open_, snapshots_taken_};
 }
 
 OnlineScheduler::ReadyItem OnlineScheduler::MakeReadyItem(OpenQuery* query) {

@@ -230,9 +230,21 @@ struct OnlineConfig {
   std::shared_ptr<FrontierCache> frontier_cache;
 };
 
+/// Counter snapshot of one shard, returned by OnlineScheduler::stats() and
+/// by RemoteShard::stats() (the router-side view of a shard process).
+struct ShardStats {
+  /// Tasks admitted so far (completed or not; excludes rejected).
+  size_t submitted = 0;
+  /// Admitted-but-unfinished tasks.
+  size_t open = 0;
+  /// Periodic snapshots published (scheduler) or received (remote shard);
+  /// see OnlineConfig::snapshot_every.
+  size_t snapshots = 0;
+};
+
 /// A long-lived deadline-aware optimization service multiplexing admitted
 /// queries over a fixed worker pool. Thread-safe: Submit()/Drain()/
-/// open_count() may be called concurrently from any thread. Start() and
+/// stats() may be called concurrently from any thread. Start() and
 /// Stop() must each be called at most once, from one thread.
 ///
 /// Memory: the Stop() report covers every admitted task, so the service
@@ -301,14 +313,8 @@ class OnlineScheduler {
 
   const OnlineConfig& config() const { return config_; }
 
-  /// Admitted-but-unfinished tasks.
-  size_t open_count() const EXCLUDES(mu_);
-
-  /// Tasks admitted so far (completed or not; excludes rejected).
-  size_t submitted_count() const EXCLUDES(mu_);
-
-  /// Periodic snapshots published so far (see OnlineConfig::snapshot_every).
-  size_t snapshot_count() const EXCLUDES(mu_);
+  /// Counters read under one lock acquisition.
+  ShardStats stats() const EXCLUDES(mu_);
 
  private:
   struct OpenQuery;

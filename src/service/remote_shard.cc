@@ -57,11 +57,6 @@ void RemoteShard::set_label(std::string label) {
   label_ = std::move(label);
 }
 
-std::string RemoteShard::label() const {
-  MutexLock lock(mu_);
-  return label_;
-}
-
 void RemoteShard::Start() {
   MutexLock lock(mu_);
   if (started_) return;
@@ -408,9 +403,9 @@ BatchReport RemoteShard::Stop() {
   return report;
 }
 
-size_t RemoteShard::submitted_count() const {
+ShardStats RemoteShard::stats() const {
   MutexLock lock(mu_);
-  return pending_.size();
+  return ShardStats{pending_.size(), open_, snapshots_received_};
 }
 
 bool RemoteShard::alive() const {
@@ -436,16 +431,6 @@ std::vector<OrphanTask> RemoteShard::TakeOrphans() {
   }
   cv_.NotifyAll();
   return orphans;
-}
-
-size_t RemoteShard::snapshots_received() const {
-  MutexLock lock(mu_);
-  return snapshots_received_;
-}
-
-std::string RemoteShard::death_reason() const {
-  MutexLock lock(mu_);
-  return death_reason_;
 }
 
 }  // namespace moqo

@@ -79,7 +79,6 @@ class RemoteShard : public Shard {
   /// this shard raises. Conventionally set before Start(); guarded like
   /// the death callback because the receiver thread reads it.
   void set_label(std::string label) EXCLUDES(mu_);
-  std::string label() const EXCLUDES(mu_);
 
   void Start() override EXCLUDES(mu_);
   std::optional<std::future<BatchTaskResult>> Submit(
@@ -89,14 +88,11 @@ class RemoteShard : public Shard {
   std::optional<SuspendedTask> Suspend(size_t submission_index) override
       EXCLUDES(mu_, send_mu_);
   bool Resume(SuspendedTask& task) override EXCLUDES(mu_, send_mu_);
-  size_t submitted_count() const override EXCLUDES(mu_);
+  /// `snapshots` counts kSnapshot messages applied (recovery frames
+  /// refreshed).
+  ShardStats stats() const override EXCLUDES(mu_);
   bool alive() const override EXCLUDES(mu_);
   std::vector<OrphanTask> TakeOrphans() override EXCLUDES(mu_);
-
-  /// kSnapshot messages applied so far (recovery frames refreshed).
-  size_t snapshots_received() const EXCLUDES(mu_);
-  /// Why the shard was declared dead (empty while alive).
-  std::string death_reason() const EXCLUDES(mu_);
 
  private:
   /// One task submitted over this connection, by local index.

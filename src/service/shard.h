@@ -81,10 +81,10 @@ class Shard {
   /// leaving `task` intact for a retry elsewhere — on refusal.
   virtual bool Resume(SuspendedTask& task) = 0;
 
-  /// Tasks admitted so far; a successful Submit()/Resume() makes the
-  /// task's local index submitted_count() - 1 (the router relies on this
-  /// under its own mutex).
-  virtual size_t submitted_count() const = 0;
+  /// Counter snapshot. A successful Submit()/Resume() makes the task's
+  /// local index stats().submitted - 1 (the router relies on this under
+  /// its own mutex).
+  virtual ShardStats stats() const = 0;
 
   /// False once the shard's process/connection is known dead. A dead
   /// shard rejects all work; its recovery state is TakeOrphans().
@@ -117,9 +117,7 @@ class LocalShard : public Shard {
   bool Resume(SuspendedTask& task) override {
     return scheduler_->Resume(task);
   }
-  size_t submitted_count() const override {
-    return scheduler_->submitted_count();
-  }
+  ShardStats stats() const override { return scheduler_->stats(); }
   bool alive() const override { return true; }
 
   OnlineScheduler* scheduler() { return scheduler_.get(); }

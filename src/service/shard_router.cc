@@ -127,7 +127,7 @@ std::optional<std::future<BatchTaskResult>> ShardRouter::Submit(
       // No other router-driven admission can interleave (mu_ is held), so
       // the task's shard-local index is the shard's latest submission.
       entries_.push_back(Entry{key, routed.fingerprint, owner,
-                               shard->submitted_count() - 1});
+                               shard->stats().submitted - 1});
       return ticket;
     }
     if (shard->alive()) return std::nullopt;
@@ -168,9 +168,6 @@ BatchReport ShardRouter::Stop() {
   }
   report.wall_millis = epoch_.ElapsedMillis();
   report.Aggregate();
-  // Aggregate() counts migrated stub slots, of which the router keeps
-  // none; repurpose the field for the router-level hop count.
-  report.migrated_tasks = migrations_;
   return report;
 }
 
@@ -242,7 +239,7 @@ bool ShardRouter::FailShard(size_t shard_id) {
   std::vector<OrphanTask> orphans = dead->TakeOrphans();
   retired_[shard_id] = dead->Stop();
   dead.reset();
-  ++failed_shards_;
+  ++stats_.failed_shards;
 
   for (OrphanTask& orphan : orphans) {
     Entry* entry = nullptr;
@@ -283,7 +280,7 @@ bool ShardRouter::FailShard(size_t shard_id) {
       if (destination->Resume(rebuilt)) {
         if (entry != nullptr) {
           entry->shard_id = preferred;
-          entry->local_index = destination->submitted_count() - 1;
+          entry->local_index = destination->stats().submitted - 1;
         }
         placed = true;
       }
@@ -294,7 +291,7 @@ bool ShardRouter::FailShard(size_t shard_id) {
         if (shard->Resume(rebuilt)) {
           if (entry != nullptr) {
             entry->shard_id = id;
-            entry->local_index = shard->submitted_count() - 1;
+            entry->local_index = shard->stats().submitted - 1;
           }
           placed = true;
           break;
@@ -308,12 +305,12 @@ bool ShardRouter::FailShard(size_t shard_id) {
       // so Stop()'s index arithmetic stays aligned.
       continue;
     }
-    ++migrations_;
-    ++failover_replayed_;
+    ++stats_.migrations;
+    ++stats_.failover_replayed;
     if (mid_run) {
-      ++checkpointed_migrations_;
-      ++failover_checkpointed_;
-      failover_resume_steps_ += resumed_steps;
+      ++stats_.checkpointed_migrations;
+      ++stats_.failover_checkpointed;
+      stats_.failover_resume_steps += resumed_steps;
     }
   }
   RebalanceLocked();
@@ -355,7 +352,7 @@ bool ShardRouter::MigrateLocked(Shard* source, Entry* entry,
     // Decoding our own frame cannot fail short of a framing bug; resume in
     // place so the task is not lost to one.
     if (source->Resume(*suspended)) {
-      entry->local_index = source->submitted_count() - 1;
+      entry->local_index = source->stats().submitted - 1;
     }
     return false;
   }
@@ -373,28 +370,15 @@ bool ShardRouter::MigrateLocked(Shard* source, Entry* entry,
     // the old owner rather than dropping the task. If even that fails the
     // rebuilt task's destructor fails the submitter's future descriptively.
     if (source->Resume(rebuilt)) {
-      entry->local_index = source->submitted_count() - 1;
+      entry->local_index = source->stats().submitted - 1;
     }
     return false;
   }
   entry->shard_id = to_shard;
-  entry->local_index = destination->submitted_count() - 1;
-  ++migrations_;
-  if (mid_run) ++checkpointed_migrations_;
+  entry->local_index = destination->stats().submitted - 1;
+  ++stats_.migrations;
+  if (mid_run) ++stats_.checkpointed_migrations;
   return true;
-}
-
-std::vector<size_t> ShardRouter::shard_ids() const {
-  MutexLock lock(mu_);
-  std::vector<size_t> ids;
-  ids.reserve(shards_.size());
-  for (const auto& [id, shard] : shards_) ids.push_back(id);
-  return ids;
-}
-
-size_t ShardRouter::shard_count() const {
-  MutexLock lock(mu_);
-  return shards_.size();
 }
 
 size_t ShardRouter::ShardFor(const BatchTask& task) const {
@@ -404,39 +388,12 @@ size_t ShardRouter::ShardFor(const BatchTask& task) const {
   return OwnerLocked(key);
 }
 
-size_t ShardRouter::submitted_count() const {
+ShardRouterStats ShardRouter::stats() const {
   MutexLock lock(mu_);
-  return entries_.size();
-}
-
-size_t ShardRouter::migrations() const {
-  MutexLock lock(mu_);
-  return migrations_;
-}
-
-size_t ShardRouter::checkpointed_migrations() const {
-  MutexLock lock(mu_);
-  return checkpointed_migrations_;
-}
-
-size_t ShardRouter::failed_shards() const {
-  MutexLock lock(mu_);
-  return failed_shards_;
-}
-
-size_t ShardRouter::failover_replayed() const {
-  MutexLock lock(mu_);
-  return failover_replayed_;
-}
-
-size_t ShardRouter::failover_checkpointed() const {
-  MutexLock lock(mu_);
-  return failover_checkpointed_;
-}
-
-int64_t ShardRouter::failover_resume_steps() const {
-  MutexLock lock(mu_);
-  return failover_resume_steps_;
+  ShardRouterStats out = stats_;
+  out.shards = shards_.size();
+  out.submitted = entries_.size();
+  return out;
 }
 
 }  // namespace moqo

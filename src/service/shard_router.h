@@ -78,6 +78,32 @@ struct ShardRouterConfig {
   int virtual_nodes = 64;
 };
 
+/// Counter snapshot of a ShardRouter; all counts are cumulative since
+/// construction except `shards`.
+struct ShardRouterStats {
+  /// Current member shards (dead-but-not-yet-failed-over ones included
+  /// until FailShard removes them).
+  size_t shards = 0;
+  /// Successful Submit() calls.
+  size_t submitted = 0;
+  /// In-flight tasks moved between shards by membership changes and
+  /// failovers.
+  size_t migrations = 0;
+  /// The subset of `migrations` that carried a non-empty mid-run session
+  /// checkpoint across the wire (the rest were still queued, fresh).
+  size_t checkpointed_migrations = 0;
+  /// Shards taken out by FailShard().
+  size_t failed_shards = 0;
+  /// In-flight tasks replayed onto survivors by FailShard().
+  size_t failover_replayed = 0;
+  /// The subset of `failover_replayed` whose recovery frame carried a
+  /// mid-run checkpoint snapshot (the rest replayed from scratch).
+  size_t failover_checkpointed = 0;
+  /// Sum of the already-executed step counts carried by replayed recovery
+  /// frames: work the failover did NOT re-run thanks to snapshots.
+  int64_t failover_resume_steps = 0;
+};
+
 /// A sharded online optimization service. See file header.
 class ShardRouter {
  public:
@@ -111,9 +137,10 @@ class ShardRouter {
   /// Drains, stops every shard, and returns one report over all router
   /// submissions in router submission order: task i is the i-th successful
   /// Submit(), with its result taken from the shard that finished it
-  /// (migrated-away stub slots are skipped). `migrated_tasks` counts
-  /// rebalance + failover hops performed by this router. After Stop()
-  /// every Submit() is rejected; the router cannot be restarted.
+  /// (migrated-away stub slots are skipped, so `migrated_tasks` is 0;
+  /// stats().migrations counts the router's rebalance + failover hops).
+  /// After Stop() every Submit() is rejected; the router cannot be
+  /// restarted.
   BatchReport Stop() EXCLUDES(mu_);
 
   /// Adds an in-process shard, rebalancing in-flight tasks whose ring
@@ -144,42 +171,18 @@ class ShardRouter {
   /// Never call from a shard's death callback (see file header).
   bool FailShard(size_t shard_id) EXCLUDES(mu_);
 
-  /// Live shard ids in ascending order (dead-but-not-yet-failed-over
-  /// shards included until FailShard removes them).
-  std::vector<size_t> shard_ids() const EXCLUDES(mu_);
-
-  /// Current member shards.
-  size_t shard_count() const EXCLUDES(mu_);
-
   /// The shard id `task` currently routes to (for tests and placement
   /// diagnostics; Submit() recomputes this under the same lock). Returns
   /// size_t(-1) once the router is stopped.
   size_t ShardFor(const BatchTask& task) const EXCLUDES(mu_);
 
-  /// Successful Submit() calls so far.
-  size_t submitted_count() const EXCLUDES(mu_);
+  /// Counters read under one lock acquisition.
+  ShardRouterStats stats() const EXCLUDES(mu_);
 
-  /// In-flight tasks moved between shards by membership changes and
-  /// failovers.
-  size_t migrations() const EXCLUDES(mu_);
-
-  /// The subset of migrations() that carried a non-empty mid-run session
-  /// checkpoint across the wire (the rest were still queued, fresh).
-  size_t checkpointed_migrations() const EXCLUDES(mu_);
-
-  /// Shards taken out by FailShard().
-  size_t failed_shards() const EXCLUDES(mu_);
-
-  /// In-flight tasks replayed onto survivors by FailShard().
-  size_t failover_replayed() const EXCLUDES(mu_);
-
-  /// The subset of failover_replayed() whose recovery frame carried a
-  /// mid-run checkpoint snapshot (the rest replayed from scratch).
-  size_t failover_checkpointed() const EXCLUDES(mu_);
-
-  /// Sum of the already-executed step counts carried by replayed recovery
-  /// frames: work the failover did NOT re-run thanks to snapshots.
-  int64_t failover_resume_steps() const EXCLUDES(mu_);
+  /// stats().failed_shards; perfbench/service.cc still reads it.
+  size_t failed_shards() const EXCLUDES(mu_) {
+    return stats().failed_shards;
+  }
 
   const ShardRouterConfig& config() const { return config_; }
 
@@ -240,12 +243,8 @@ class ShardRouter {
   /// Router submission i is entries_[i].
   std::vector<Entry> entries_ GUARDED_BY(mu_);
   size_t next_shard_id_ GUARDED_BY(mu_) = 0;
-  size_t migrations_ GUARDED_BY(mu_) = 0;
-  size_t checkpointed_migrations_ GUARDED_BY(mu_) = 0;
-  size_t failed_shards_ GUARDED_BY(mu_) = 0;
-  size_t failover_replayed_ GUARDED_BY(mu_) = 0;
-  size_t failover_checkpointed_ GUARDED_BY(mu_) = 0;
-  int64_t failover_resume_steps_ GUARDED_BY(mu_) = 0;
+  /// The cumulative counters; stats() fills in `shards` and `submitted`.
+  ShardRouterStats stats_ GUARDED_BY(mu_);
   /// Peak member count, for the report's num_threads.
   size_t peak_shards_ GUARDED_BY(mu_) = 0;
   bool started_ GUARDED_BY(mu_) = false;

@@ -84,14 +84,13 @@ bool ShardServer::HandleSubmit(net::FrameChannel* channel,
   }
   // This thread is the only admitter, so the task's index is the latest
   // submission.
-  index = scheduler->submitted_count() - 1;
+  index = scheduler->stats().submitted - 1;
   pending_[index] = PendingReply{request_id, std::move(future)};
   index_by_request_[request_id] = index;
   {
     MutexLock lock(snapshots->mu);
     snapshots->request_ids[index] = request_id;
   }
-  ++served_tasks_;
   return true;
 }
 

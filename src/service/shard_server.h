@@ -66,9 +66,6 @@ class ShardServer {
   /// a server object can serve sequential connections.
   bool Serve(net::FrameChannel* channel);
 
-  /// Tasks admitted over all connections served so far.
-  size_t served_tasks() const { return served_tasks_; }
-
  private:
   /// One admitted task the server still owes a reply for.
   struct PendingReply {
@@ -104,9 +101,6 @@ class ShardServer {
 
   ShardServerConfig config_;
   OptimizerFactory make_optimizer_;
-  /// Written only by the Serve() thread; served_tasks() is documented as
-  /// a between-connections observer, so it carries no guard.
-  size_t served_tasks_ = 0;
 
   /// Serve()-local state, members only to keep the handlers' signatures
   /// readable; no cross-connection state survives in them.

@@ -82,7 +82,7 @@ size_t ShardSupervisor::SpawnShard() {
   if (rc != 0) return static_cast<size_t>(-1);
   {
     MutexLock lock(mu_);
-    ++spawned_;
+    ++stats_.spawned;
   }
 
   // Connect, retrying until the child's listener is up. A child that
@@ -170,7 +170,7 @@ void ShardSupervisor::MonitorLoop() {
       router_->FailShard(shard_id);
     }
     MutexLock lock(mu_);
-    ++failovers_;
+    ++stats_.failovers;
     cv_.NotifyAll();
   }
 }
@@ -196,17 +196,12 @@ bool ShardSupervisor::WaitForFailovers(size_t count, int timeout_ms) {
   MutexLock lock(mu_);
   return cv_.WaitFor(
       lock, std::chrono::milliseconds(timeout_ms),
-      [this, count]() REQUIRES(mu_) { return failovers_ >= count; });
+      [this, count]() REQUIRES(mu_) { return stats_.failovers >= count; });
 }
 
-size_t ShardSupervisor::failovers() const {
+ShardSupervisorStats ShardSupervisor::stats() const {
   MutexLock lock(mu_);
-  return failovers_;
-}
-
-size_t ShardSupervisor::spawned() const {
-  MutexLock lock(mu_);
-  return spawned_;
+  return stats_;
 }
 
 }  // namespace moqo

@@ -59,6 +59,14 @@ struct ShardSupervisorConfig {
   RemoteShardConfig remote;
 };
 
+/// Counter snapshot of a ShardSupervisor, cumulative since construction.
+struct ShardSupervisorStats {
+  /// Children spawned (including exited ones).
+  size_t spawned = 0;
+  /// Completed failovers (FailShard returned).
+  size_t failovers = 0;
+};
+
 /// See file header.
 class ShardSupervisor {
  public:
@@ -93,11 +101,8 @@ class ShardSupervisor {
   /// reached.
   bool WaitForFailovers(size_t count, int timeout_ms) EXCLUDES(mu_);
 
-  /// Completed failovers so far.
-  size_t failovers() const EXCLUDES(mu_);
-
-  /// Children spawned so far (including exited ones).
-  size_t spawned() const EXCLUDES(mu_);
+  /// Counters read under one lock acquisition.
+  ShardSupervisorStats stats() const EXCLUDES(mu_);
 
  private:
   struct ChildInfo {
@@ -124,8 +129,7 @@ class ShardSupervisor {
   std::deque<RemoteShard*> dead_ GUARDED_BY(mu_);
   std::map<RemoteShard*, ChildInfo> children_ GUARDED_BY(mu_);
   uint64_t next_socket_seq_ GUARDED_BY(mu_) = 0;
-  size_t failovers_ GUARDED_BY(mu_) = 0;
-  size_t spawned_ GUARDED_BY(mu_) = 0;
+  ShardSupervisorStats stats_ GUARDED_BY(mu_);
   bool stop_ GUARDED_BY(mu_) = false;
 };
 

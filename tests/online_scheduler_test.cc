@@ -123,11 +123,12 @@ TEST(OnlineSchedulerTest, SubmitBeforeStartBuildsBacklogAndDrains) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(service.Submit(tasks[static_cast<size_t>(i)]).has_value());
   }
-  EXPECT_EQ(service.open_count(), 4u);
-  EXPECT_EQ(service.submitted_count(), 4u);
+  ShardStats stats = service.stats();
+  EXPECT_EQ(stats.open, 4u);
+  EXPECT_EQ(stats.submitted, 4u);
 
   service.Drain();  // implicitly starts the workers
-  EXPECT_EQ(service.open_count(), 0u);
+  EXPECT_EQ(service.stats().open, 0u);
 
   // The drained service keeps serving: admit two more tasks.
   ASSERT_TRUE(service.Submit(tasks[4]).has_value());
@@ -275,7 +276,7 @@ TEST(OnlineSchedulerTest, RejectPolicyBoundsOpenQueries) {
   EXPECT_TRUE(service.Submit(tasks[0]).has_value());
   EXPECT_TRUE(service.Submit(tasks[1]).has_value());
   EXPECT_FALSE(service.Submit(tasks[2]).has_value());
-  EXPECT_EQ(service.open_count(), 2u);
+  EXPECT_EQ(service.stats().open, 2u);
 
   service.Drain();
   EXPECT_TRUE(service.Submit(tasks[3]).has_value());
@@ -485,7 +486,7 @@ TEST(OnlineSchedulerTest, SuspendFromBacklogAndResumeIntoSameScheduler) {
   ASSERT_TRUE(suspended.has_value());
   EXPECT_TRUE(suspended->checkpoint.empty());
   EXPECT_EQ(suspended->steps, 0);
-  EXPECT_EQ(service.open_count(), 1u);
+  EXPECT_EQ(service.stats().open, 1u);
   // Double-suspension is refused.
   EXPECT_FALSE(service.Suspend(0).has_value());
 
@@ -523,7 +524,7 @@ TEST(OnlineSchedulerTest, SuspendReleasesWindowSlotAndRefusesFinished) {
   EXPECT_FALSE(service.Submit(tasks[2]).has_value());
   auto suspended = service.Suspend(1);
   ASSERT_TRUE(suspended.has_value());
-  EXPECT_EQ(service.open_count(), 1u);
+  EXPECT_EQ(service.stats().open, 1u);
   auto ticket = service.Submit(tasks[2]);
   ASSERT_TRUE(ticket.has_value());
 
@@ -718,7 +719,7 @@ TEST(OnlineSchedulerTest, ConcurrentSuspendResumeUnderLoadIsRaceFree) {
       ASSERT_TRUE(pong.Resume(*suspended));
       if (i % 2 == 0) {
         // Its index on pong is pong's latest submission.
-        auto back = pong.Suspend(pong.submitted_count() - 1);
+        auto back = pong.Suspend(pong.stats().submitted - 1);
         if (back.has_value()) {
           ASSERT_TRUE(ping.Resume(*back));
         }
@@ -741,7 +742,7 @@ TEST(OnlineSchedulerTest, ConcurrentSuspendResumeUnderLoadIsRaceFree) {
 
 // Periodic checkpoint snapshots (the failover recovery substrate): with a
 // cadence set, every live task is checkpointed every K slices and pushed
-// through the sink; the snapshots are observable (snapshot_count), carry
+// through the sink; the snapshots are observable (stats().snapshots), carry
 // a restorable mid-run state, and never perturb results.
 TEST(OnlineSchedulerTest, PeriodicSnapshotsAreObservableAndHarmless) {
   std::vector<BatchTask> tasks = SmallBatch(6, 6);
@@ -775,7 +776,7 @@ TEST(OnlineSchedulerTest, PeriodicSnapshotsAreObservableAndHarmless) {
 
   std::lock_guard<std::mutex> lock(mu);
   EXPECT_GT(collected.size(), 0u);
-  EXPECT_EQ(service.snapshot_count(), collected.size());
+  EXPECT_EQ(service.stats().snapshots, collected.size());
   for (const TaskSnapshot& snapshot : collected) {
     EXPECT_LT(snapshot.submission_index, tasks.size());
     EXPECT_FALSE(snapshot.checkpoint.empty());
@@ -804,7 +805,7 @@ TEST(OnlineSchedulerTest, SnapshotsAreOffByDefault) {
   service.Drain();
   service.Stop();
   EXPECT_EQ(fired.load(), 0u);
-  EXPECT_EQ(service.snapshot_count(), 0u);
+  EXPECT_EQ(service.stats().snapshots, 0u);
 }
 
 // Destruction without an explicit Stop() drains admitted work so that no

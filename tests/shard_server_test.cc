@@ -251,7 +251,7 @@ TEST(ShardServerTest, PeriodicSnapshotsReachTheClient) {
     EXPECT_TRUE(
         BitwiseEqual(tickets[i].get().frontier, reference.tasks[i].frontier));
   }
-  EXPECT_GT(shard.snapshots_received(), 0u);
+  EXPECT_GT(shard.stats().snapshots, 0u);
   shard.Stop();
   serve.Join();
   EXPECT_TRUE(serve.clean);
@@ -438,7 +438,7 @@ TEST(ShardServerTest, DeadConnectionOrphansReplayThroughFailShard) {
     tickets.push_back(std::move(*ticket));
   }
   // Some tasks must have routed to the (doomed) remote shard.
-  ASSERT_GT(remote_ptr->submitted_count(), 0u);
+  ASSERT_GT(remote_ptr->stats().submitted, 0u);
 
   far_end.Close();  // the death
   {
@@ -447,8 +447,9 @@ TEST(ShardServerTest, DeadConnectionOrphansReplayThroughFailShard) {
                                   [&] { return death_seen; }));
   }
   ASSERT_TRUE(router.FailShard(remote_id));
-  EXPECT_EQ(router.failed_shards(), 1u);
-  EXPECT_GT(router.failover_replayed(), 0u);
+  ShardRouterStats stats = router.stats();
+  EXPECT_EQ(stats.failed_shards, 1u);
+  EXPECT_GT(stats.failover_replayed, 0u);
 
   router.Drain();
   for (size_t i = 0; i < tickets.size(); ++i) {

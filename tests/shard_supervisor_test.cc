@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/deadline.h"
 #include "core/rmq.h"
 #include "service/batch_optimizer.h"
 #include "service/shard_router.h"
@@ -65,9 +66,9 @@ TEST(ShardSupervisorTest, MixedLocalAndRemoteShardsMatchReference) {
   size_t second = supervisor.SpawnShard();
   ASSERT_NE(first, static_cast<size_t>(-1));
   ASSERT_NE(second, static_cast<size_t>(-1));
-  EXPECT_EQ(supervisor.spawned(), 2u);
+  EXPECT_EQ(supervisor.stats().spawned, 2u);
   EXPECT_GT(supervisor.ShardPid(first), 0);
-  EXPECT_EQ(router.shard_count(), 3u);
+  EXPECT_EQ(router.stats().shards, 3u);
 
   std::vector<std::future<BatchTaskResult>> tickets;
   for (const BatchTask& task : tasks) {
@@ -83,7 +84,7 @@ TEST(ShardSupervisorTest, MixedLocalAndRemoteShardsMatchReference) {
   }
   BatchReport report = router.Stop();
   EXPECT_EQ(report.tasks.size(), tasks.size());
-  EXPECT_EQ(supervisor.failovers(), 0u);
+  EXPECT_EQ(supervisor.stats().failovers, 0u);
 }
 
 // The headline gate: kill -9 one shard process with tasks in flight. The
@@ -121,10 +122,14 @@ TEST(ShardSupervisorTest, Kill9MidStreamFailsOverBitwiseIdentically) {
     ASSERT_TRUE(ticket.has_value());
     tickets.push_back(std::move(*ticket));
   }
+  Stopwatch since_kill;
   ASSERT_TRUE(supervisor.KillShard(victim, SIGKILL));
   ASSERT_TRUE(supervisor.WaitForFailovers(1, /*timeout_ms=*/30000))
       << "death of the killed shard was never failed over";
-  EXPECT_EQ(router.failed_shards(), 1u);
+  // The mid-frame EOF of the killed process, not heartbeat silence (20 s
+  // here), must be what detects the death.
+  EXPECT_LT(since_kill.ElapsedMillis(), 5000.0)
+      << "failover waited for the silence timeout instead of the EOF";
 
   router.Drain();
   for (size_t i = 0; i < tickets.size(); ++i) {
@@ -134,9 +139,17 @@ TEST(ShardSupervisorTest, Kill9MidStreamFailsOverBitwiseIdentically) {
         << "task " << i << " diverged across the kill -9 failover";
   }
   // The kill landed right after the submit burst, so the victim still
-  // held in-flight work that had to replay.
-  EXPECT_GT(router.failover_replayed(), 0u);
-  EXPECT_GE(router.migrations(), router.failover_replayed());
+  // held in-flight work that had to replay. Every replay is a migration,
+  // and a replay resumes executed steps exactly when its recovery frame
+  // carried a snapshot.
+  ShardRouterStats stats = router.stats();
+  EXPECT_EQ(stats.failed_shards, 1u);
+  EXPECT_EQ(supervisor.stats().failovers, 1u);
+  EXPECT_GT(stats.failover_replayed, 0u);
+  EXPECT_LE(stats.failover_checkpointed, stats.failover_replayed);
+  EXPECT_LE(stats.failover_replayed, stats.migrations);
+  EXPECT_LE(stats.failover_checkpointed, stats.checkpointed_migrations);
+  EXPECT_EQ(stats.failover_resume_steps > 0, stats.failover_checkpointed > 0);
   BatchReport report = router.Stop();
   EXPECT_EQ(report.tasks.size(), tasks.size());
 }
